@@ -295,19 +295,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace_file(path: Path) -> list:
+    """Spans of one trace file or directory; an unreadable or
+    unparseable input is a one-line :class:`ReproError`."""
+    from repro.obs.export import load_traces
+
+    try:
+        return load_traces(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from exc
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.export import (
-        load_traces,
-        tree_summary,
-        validate_chrome_trace,
-    )
+    from repro.obs.export import tree_summary, validate_chrome_trace
 
     path = Path(args.file)
     if args.validate:
         try:
             obj = json.loads(path.read_text())
+        except OSError as exc:
+            raise ReproError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             print(f"error: {path} is not JSON: {exc}", file=sys.stderr)
             return 1
@@ -319,7 +328,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"{path}: valid Chrome trace "
               f"({len(obj.get('traceEvents', []))} events)")
         return 0
-    roots = load_traces(path)
+    roots = _load_trace_file(path)
     if not roots:
         print(f"{path}: no spans recorded")
         return 0
@@ -328,9 +337,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.export import load_traces, profile_summary
+    from repro.obs.export import profile_summary
 
-    roots = load_traces(Path(args.file))
+    roots = _load_trace_file(Path(args.file))
     if not roots:
         print(f"{args.file}: no spans recorded")
         return 0

@@ -8,12 +8,14 @@ compounding cost reducers:
    ``(design, scale, seed, fast library, period, utilization)`` -- not
    the slow library, tier cap, or FM tolerance.  Their checkpoints are
    therefore stored once per *prefix key* (a content hash of exactly
-   those fields) in ``<cache>/dse_prefix/<key>/`` and re-slotted into
-   every later config's flow via
-   :func:`~repro.integrity.checkpoint.rebind_checkpoint_tier_library`
-   + ``from_stage`` resume.  Reuse is counted in
-   ``telemetry.prefix_stages_reused``; a fully warm sweep re-executes
-   zero prefix stages.
+   those fields) in ``<cache>/dse_prefix/<key>/``; every later config
+   loads the deepest one (stored checksum verified, slow-tier library
+   re-slotted: :func:`~repro.integrity.checkpoint.load_checkpoint`
+   with ``rebind_tier``) straight into a :class:`Design` and resumes
+   from it in memory.  The store is the only flow state an evaluation
+   persists -- it is the only state a later process reads.  Reuse is
+   counted in ``telemetry.prefix_stages_reused``; a fully warm sweep
+   re-executes zero prefix stages.
 
 2. **Warm-started period searches.**  Periods live on a shared
    geometric grid (:func:`period_grid`), so every config's search is a
@@ -28,12 +30,13 @@ compounding cost reducers:
 
    The same independence argument also runs *forward*: partitioning is
    the only stage the tier-cap and FM-tolerance axes feed, so each
-   evaluation first runs to the partitioning checkpoint only
-   (``until_stage``), fingerprints the partitioned state (parameter
-   echoes masked), and serves the entire post-partition tail from the
+   evaluation first runs to partitioning only (``until_stage``),
+   fingerprints the live partitioned design (parameter echoes masked),
+   and serves the entire post-partition tail from the
    ``dse_suffix`` cache when any earlier config produced the same
    partition -- distinct (cap, fm) settings collapse onto far fewer
-   distinct partitions.  Exact by construction; counted in
+   distinct partitions.  On a miss the tail continues from the same
+   in-memory design.  Exact by construction; counted in
    ``telemetry.suffix_flows_reused``.
 
 3. **Dominance pruning.**  Before evaluating a config, its objective
@@ -82,8 +85,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -111,11 +112,13 @@ from repro.experiments.resilience import (
     run_jobs_with_retry,
 )
 from repro.experiments.telemetry import get_telemetry, timed_stage
+from repro.flow.design import Design
 from repro.flow.report import FlowResult
 from repro.integrity.contracts import CheckMode, current_mode
 from repro.integrity.checkpoint import (
     checkpoint_path,
-    rebind_checkpoint_tier_library,
+    design_to_dict,
+    load_checkpoint,
 )
 from repro.log import get_logger
 from repro.obs import emit_metric, span
@@ -144,7 +147,7 @@ _FALSY = {"0", "off", "false", "no"}
 
 #: Stages whose output is independent of every per-config axis (slow
 #: library, tier cap, FM tolerance) -- the shareable flow prefix, in
-#: stage order.  ``rebind_checkpoint_tier_library`` enforces the
+#: stage order.  The slow-tier rebind on load enforces the
 #: independence claim at reuse time.
 PREFIX_STAGES = ("synthesis", "pseudo_place")
 _STAGE_AFTER = {"synthesis": "pseudo_place", "pseudo_place": "partitioning"}
@@ -155,9 +158,8 @@ _SLOW_TIER = 1
 #: partitioned design state plus ``(period, utilization,
 #: opt_iterations, seed)``.  That makes the whole flow *tail* reusable
 #: across configs whose partitions collapse to the same state -- keyed
-#: by a fingerprint of the partitioning checkpoint.
+#: by a fingerprint of the partitioned design.
 _PARTITION_STAGE = "partitioning"
-_PARTITION_INDEX = 2  # stage position in the voltage-compatible flow
 _SUFFIX_RESUME = "placement_3d"
 
 #: Parameter echoes partitioning writes into ``design.notes``.  They
@@ -422,23 +424,15 @@ def _prefix_root() -> Path:
     return cache.cache_dir() / "dse_prefix"
 
 
-def _partition_fingerprint(tmpdir: str) -> str | None:
-    """Content hash of the partitioning checkpoint's design payload,
-    with the parameter-echo notes (:data:`_PARTITION_ECHO_NOTES`)
-    masked out.  ``None`` when the checkpoint is unreadable -- the
-    caller then falls back to running the tail, never to guessing."""
-    path = checkpoint_path(tmpdir, _PARTITION_INDEX, _PARTITION_STAGE)
-    try:
-        payload = json.loads(path.read_text())["design"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    notes = payload.get("notes")
-    if isinstance(notes, dict):
-        payload = dict(payload)
-        payload["notes"] = {
-            k: v for k, v in notes.items()
-            if k not in _PARTITION_ECHO_NOTES
-        }
+def _partition_fingerprint(design: Design) -> str:
+    """Content hash of the partitioned design's full state
+    (:func:`~repro.integrity.checkpoint.design_to_dict`), with the
+    parameter-echo notes (:data:`_PARTITION_ECHO_NOTES`) masked out."""
+    payload = design_to_dict(design)
+    payload["notes"] = {
+        k: v for k, v in payload["notes"].items()
+        if k not in _PARTITION_ECHO_NOTES
+    }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -457,14 +451,17 @@ def _suffix_cache_key(
     )
 
 
-def _seed_prefix(tmpdir: str, prefix_key: str, slow_lib) -> tuple[int, str | None]:
-    """Copy the deepest stored prefix checkpoint into ``tmpdir``.
+def _seed_prefix(
+    prefix_key: str, tier_libs: dict
+) -> tuple[int, str | None, Design | None]:
+    """Load the deepest stored prefix checkpoint as a live design.
 
-    Returns ``(stages_reused, from_stage)``: the checkpoint is
-    re-slotted for this config's slow library and the flow resumes at
-    the stage after it.  Any unreadable/unshareable entry falls back to
-    the shallower stage, then to a cold start -- reuse can degrade,
-    never corrupt.
+    Returns ``(stages_reused, from_stage, design)``: the checkpoint's
+    stored checksum is verified, its slow-tier library re-slotted to
+    this config's, and the flow resumes at the stage after it.  Any
+    unreadable, tampered or unshareable entry falls back to the
+    shallower stage, then to a cold start ``(0, None, None)`` -- reuse
+    can degrade, never corrupt.
     """
     store = _prefix_root() / prefix_key
     for idx in range(len(PREFIX_STAGES) - 1, -1, -1):
@@ -473,52 +470,42 @@ def _seed_prefix(tmpdir: str, prefix_key: str, slow_lib) -> tuple[int, str | Non
         if not src.exists():
             continue
         try:
-            envelope = json.loads(src.read_text())
-            rebound = rebind_checkpoint_tier_library(
-                envelope, _SLOW_TIER, slow_lib
+            _stage, design = load_checkpoint(
+                src, tier_libs, rebind_tier=_SLOW_TIER
             )
-        except (OSError, ValueError, CheckpointError) as exc:
+        except CheckpointError as exc:
             _log.warning(
                 "dse prefix %s/%s unusable (%s); trying an earlier stage",
                 prefix_key[:12], stage, exc,
             )
             continue
-        dst = checkpoint_path(tmpdir, idx, stage)
-        dst.write_text(json.dumps(rebound))
-        return idx + 1, _STAGE_AFTER[stage]
-    return 0, None
+        return idx + 1, _STAGE_AFTER[stage], design
+    return 0, None, None
 
 
-def _publish_prefix(tmpdir: str, prefix_key: str) -> None:
-    """Move this run's prefix checkpoints into the shared store.
-
-    Atomic per file (tmp + rename); concurrent publishers of the same
-    key write byte-identical content (the flow is deterministic), so
-    last-wins is safe.  Best-effort like every cache write.
-    """
+def _prefix_publish_dir(prefix_key: str) -> Path | None:
+    """The store directory a run publishes its prefix checkpoints into,
+    or ``None`` when it cannot be created (publishing is best-effort
+    like every cache write)."""
     store = _prefix_root() / prefix_key
     try:
         store.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _log.warning("cannot create dse prefix store %s: %s", store, exc)
-        return
-    for idx, stage in enumerate(PREFIX_STAGES):
-        src = checkpoint_path(tmpdir, idx, stage)
-        dst = checkpoint_path(store, idx, stage)
-        if not src.exists() or dst.exists():
-            continue
-        try:
-            tmp = dst.with_suffix(f".tmp.{os.getpid()}")
-            shutil.copyfile(src, tmp)
-            os.replace(tmp, dst)
-        except OSError as exc:
-            _log.warning("dse prefix publish failed for %s: %s", dst.name, exc)
+        return None
+    return store
 
 
 def _flow_at_period(
     cfg: DseConfig, spec: ExploreSpec, period_ns: float
 ) -> FlowResult:
-    """One (config, period) evaluation: cache, prefix-reuse, run, store."""
+    """One (config, period) evaluation: cache, prefix-reuse, run, store.
+
+    The flow state stays in memory from the seeded prefix to signoff;
+    the only files written are the prefix stages this run computed
+    itself (published straight into the shared store -- concurrent
+    publishers of one key write identical bytes, atomically).
+    """
     from repro.flow.hetero import run_flow_hetero_3d
 
     telemetry = get_telemetry()
@@ -552,6 +539,14 @@ def _flow_at_period(
             telemetry.flows_run += 1
         else:
             pkey = _prefix_cache_key(spec, period_ns)
+            seeded, from_stage, design = _seed_prefix(
+                pkey, {0: fast_lib, _SLOW_TIER: slow_lib}
+            )
+            if seeded < len(PREFIX_STAGES):
+                store = _prefix_publish_dir(pkey)
+                if store is not None:
+                    kwargs.update(checkpoint_dir=str(store),
+                                  checkpoint_stages=PREFIX_STAGES[seeded:])
             # Suffix reuse is sound only while the stage-boundary
             # checks are off: they are the one consumer of the notes
             # the fingerprint masks (see _PARTITION_ECHO_NOTES).
@@ -559,46 +554,41 @@ def _flow_at_period(
                 _env_flag(ENV_SUFFIX, True)
                 and current_mode(None) is CheckMode.OFF
             )
-            with tempfile.TemporaryDirectory(prefix="repro-dse-") as tmpdir:
-                seeded, from_stage = _seed_prefix(tmpdir, pkey, slow_lib)
-                result = None
-                skey = None
-                if use_suffix:
-                    # Stop after partitioning (the only stage the
-                    # cap/fm axes feed), fingerprint its checkpoint,
-                    # and serve the whole tail from cache when another
-                    # config already produced this exact state.
-                    run_flow_hetero_3d(
-                        spec.design, fast_lib, slow_lib,
-                        checkpoint_dir=tmpdir, from_stage=from_stage,
-                        until_stage=_PARTITION_STAGE, **kwargs,
+            result = None
+            skey = None
+            if use_suffix:
+                # Stop after partitioning (the only stage the cap/fm
+                # axes feed), fingerprint the partitioned design, and
+                # serve the whole tail from cache when another config
+                # already produced this exact state.
+                design, _ = run_flow_hetero_3d(
+                    spec.design, fast_lib, slow_lib, design=design,
+                    from_stage=from_stage, until_stage=_PARTITION_STAGE,
+                    **kwargs,
+                )
+                skey = _suffix_cache_key(
+                    spec, period_ns, _partition_fingerprint(design)
+                )
+                result = cache.load_result(skey)
+                from_stage = _SUFFIX_RESUME
+            if result is not None:
+                telemetry.suffix_flows_reused += 1
+                emit_metric("suffix_flows_reused", 1)
+            else:
+                _design, result = run_flow_hetero_3d(
+                    spec.design, fast_lib, slow_lib, design=design,
+                    from_stage=from_stage, **kwargs,
+                )
+                if skey is not None:
+                    cache.store_result(
+                        skey, result,
+                        meta={"design": spec.design, "dse": cfg.label,
+                              "period_ns": period_ns},
                     )
-                    fingerprint = _partition_fingerprint(tmpdir)
-                    if fingerprint is not None:
-                        skey = _suffix_cache_key(spec, period_ns, fingerprint)
-                        result = cache.load_result(skey)
-                    from_stage = _SUFFIX_RESUME
-                if result is not None:
-                    telemetry.suffix_flows_reused += 1
-                    emit_metric("suffix_flows_reused", 1)
-                else:
-                    _design, result = run_flow_hetero_3d(
-                        spec.design, fast_lib, slow_lib,
-                        checkpoint_dir=tmpdir, from_stage=from_stage,
-                        **kwargs,
-                    )
-                    if skey is not None:
-                        cache.store_result(
-                            skey, result,
-                            meta={"design": spec.design, "dse": cfg.label,
-                                  "period_ns": period_ns},
-                        )
-                telemetry.flows_run += 1
-                if seeded:
-                    telemetry.prefix_stages_reused += seeded
-                    emit_metric("prefix_stages_reused", seeded)
-                if seeded < len(PREFIX_STAGES):
-                    _publish_prefix(tmpdir, pkey)
+            telemetry.flows_run += 1
+            if seeded:
+                telemetry.prefix_stages_reused += seeded
+                emit_metric("prefix_stages_reused", seeded)
     if cache.cache_enabled():
         cache.store_result(
             rkey, result,

@@ -31,6 +31,8 @@ set of flow arguments.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.cost.model import CostModel
 from repro.cts.tree import ClockTreeSynthesizer, TierPolicy
 from repro.flow.design import Design
@@ -168,8 +170,10 @@ def run_flow_hetero_3d(
     allow_level_shifters: bool = False,
     check: str | None = None,
     checkpoint_dir: str | None = None,
+    checkpoint_stages: Collection[str] | None = None,
     from_stage: str | None = None,
     until_stage: str | None = None,
+    design: Design | None = None,
 ) -> tuple[Design, FlowResult]:
     """Implement one netlist as a 9+12-track heterogeneous M3D design.
 
@@ -191,7 +195,10 @@ def run_flow_hetero_3d(
 
     ``until_stage`` stops after the named stage (checkpoint written,
     no signoff report) -- the returned result is ``None`` and the flow
-    can be resumed later with ``from_stage``.
+    can be resumed later with ``from_stage``, from the checkpoint or
+    from the returned design passed back as ``design``.
+    ``checkpoint_stages`` limits the checkpoint writes to the named
+    stages (see :func:`~repro.flow.pipeline.execute_flow`).
     """
     voltage_ok = fast_lib.voltage_compatible_with(slow_lib)
     if not voltage_ok and not allow_level_shifters:
@@ -459,8 +466,10 @@ def run_flow_hetero_3d(
         stages,
         check=check,
         checkpoint_dir=checkpoint_dir,
+        checkpoint_stages=checkpoint_stages,
         from_stage=from_stage,
         until_stage=until_stage,
         tier_libs={FAST_TIER: fast_lib, SLOW_TIER: slow_lib},
+        design=design,
     )
     return ctx.design, ctx.result

@@ -11,21 +11,23 @@ it to :func:`execute_flow`, which runs, per stage:
 3. the stage's postcondition contract checks
    (:func:`repro.integrity.contracts.enforce`, policy from ``--check``/
    ``$REPRO_CHECK``),
-4. the checksummed checkpoint write (``--checkpoint-dir``) -- after the
+4. the checksummed checkpoint write (``--checkpoint-dir``; every stage,
+   or only the ``checkpoint_stages`` a caller names) -- after the
    checks, so checkpoints only ever hold validated state.
 
 ``--from-stage`` resumes: the driver loads the newest valid checkpoint
 *before* the named stage (falling back past corrupt files) and skips
-the stages already covered.  Stage boundaries are aligned with the
-points where the monolithic flows fully invalidated their delay
-calculator, so a resumed flow is byte-identical to an uninterrupted
-one.
+the stages already covered; a caller that holds that state in memory
+passes it as ``design`` instead and no file is read.  Stage boundaries
+are aligned with the points where the monolithic flows fully
+invalidated their delay calculator, so a resumed flow is
+byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.errors import FlowError
 from repro.flow.design import Design
@@ -64,26 +66,44 @@ def _maybe_corrupt(ctx: FlowContext, stage: str) -> None:
         maybe_corrupt_design(ctx.design, site=stage, stage=stage)
 
 
+def _check_bound_libs(design: Design, tier_libs: dict | None) -> None:
+    """An in-memory resume must carry the libraries the flow would bind,
+    as :func:`~repro.integrity.checkpoint.design_from_dict` enforces for
+    a loaded one."""
+    for tier, lib in (tier_libs or {}).items():
+        have = design.tier_libs.get(tier)
+        if have is None or have.name != lib.name:
+            raise FlowError(
+                f"tier {tier} library mismatch: resumed design has "
+                f"{have.name if have else None!r}, flow has {lib.name!r}"
+            )
+
+
 def execute_flow(
     stages: list[Stage],
     ctx: FlowContext | None = None,
     *,
     check: str | CheckMode | None = None,
     checkpoint_dir: str | None = None,
+    checkpoint_stages: Collection[str] | None = None,
     from_stage: str | None = None,
     until_stage: str | None = None,
     tier_libs: dict | None = None,
+    design: Design | None = None,
 ) -> FlowContext:
     """Run a staged flow under the integrity contract policy.
 
-    ``check`` overrides ``$REPRO_CHECK`` for this run; ``from_stage``
-    requires ``checkpoint_dir`` and resumes from the newest valid
-    checkpoint before that stage (cold-starting when none is usable).
-    ``until_stage`` stops the flow after the named stage completes (its
-    contract checks and checkpoint included), leaving the context ready
-    for a later ``from_stage`` resume.  ``tier_libs`` supplies the
-    flow's live library objects so a resumed design binds the exact
-    cells a cold run would.
+    ``check`` overrides ``$REPRO_CHECK`` for this run.  With
+    ``checkpoint_dir`` a checkpoint is written after every stage, or
+    only after the stages in ``checkpoint_stages`` when that is given.
+    ``from_stage`` resumes from the state just before that stage:
+    ``design`` when the caller holds it in memory, else the newest
+    valid checkpoint in ``checkpoint_dir`` (cold-starting when none is
+    usable).  ``until_stage`` stops the flow after the named stage
+    completes (its contract checks and checkpoint included), leaving
+    ``ctx.design`` ready for a later ``from_stage`` resume.
+    ``tier_libs`` supplies the flow's live library objects so a
+    resumed design binds the exact cells a cold run would.
     """
     ctx = ctx or FlowContext()
     names = [s.name for s in stages]
@@ -94,6 +114,8 @@ def execute_flow(
             f"unknown stage {until_stage!r} for this flow "
             f"(stages: {', '.join(names)})"
         )
+    if design is not None and from_stage is None:
+        raise FlowError("a starting design needs from_stage to say where")
     mode = current_mode(check)
 
     start = 0
@@ -104,7 +126,10 @@ def execute_flow(
                 f"(stages: {', '.join(names)})"
             )
         target = names.index(from_stage)
-        if target > 0:
+        if design is not None:
+            _check_bound_libs(design, tier_libs)
+            start, ctx.design = target, design
+        elif target > 0:
             if checkpoint_dir is None:
                 raise FlowError(
                     "--from-stage requires --checkpoint-dir to load state from"
@@ -137,7 +162,9 @@ def execute_flow(
         if ctx.design is not None:
             enforce(ctx.design, stage=stage.name, checks=stage.checks,
                     mode=mode)
-            if checkpoint_dir is not None:
+            if checkpoint_dir is not None and (
+                checkpoint_stages is None or stage.name in checkpoint_stages
+            ):
                 write_checkpoint(checkpoint_dir, index, stage.name, ctx.design)
         if stage.name == until_stage:
             break

@@ -293,34 +293,20 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def rebind_checkpoint_tier_library(
-    envelope: dict, tier: int, lib: StdCellLibrary
-) -> dict:
-    """Copy of a checkpoint envelope with one tier's library spec
-    replaced and the payload checksum recomputed.
+def _rebind_payload(payload: dict, tier: int, lib: StdCellLibrary) -> dict:
+    """``payload`` with tier ``tier``'s library spec replaced by ``lib``'s.
 
-    The design-space explorer's prefix store shares synthesis and
-    pseudo-place checkpoints across configs that differ only in the
-    *slow*-tier library: those stages never consume it, but the
-    envelope embeds its spec (and the checksum covers the spec), so a
-    borrowing config must re-slot its own library before resuming.
-
-    Raises :class:`CheckpointError` when any netlist instance actually
-    references the library being swapped out -- the guard that keeps
-    "this stage does not consume tier N's library" honest: if it ever
-    stops being true, reuse fails loudly instead of resuming a design
-    bound to the wrong cells.
+    Copies only the payload dict and its ``tier_libs``; everything else
+    is shared with (and never modified in) the input.  Raises
+    :class:`CheckpointError` when an instance is bound to the library
+    being swapped out.
     """
-    import copy
-
-    if not isinstance(envelope, dict) or "design" not in envelope:
-        raise CheckpointError("envelope has no design payload")
-    envelope = copy.deepcopy(envelope)
-    payload = envelope["design"]
     try:
-        old_spec = payload["tier_libs"][str(tier)]
+        payload = dict(payload)
+        tier_libs = dict(payload["tier_libs"])
+        old_spec = tier_libs[str(tier)]
         instances = payload["netlist"]["instances"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
     old_name = str(old_spec.get("name", ""))
     if old_name != lib.name:
@@ -333,9 +319,37 @@ def rebind_checkpoint_tier_library(
                 f" {lib.name!r}: instances are bound to it (the stage"
                 f" consumed the library; this checkpoint is not shareable)"
             )
-    payload["tier_libs"][str(tier)] = _library_spec(lib)
-    envelope["checksum"] = _checksum(payload)
-    return envelope
+    tier_libs[str(tier)] = _library_spec(lib)
+    payload["tier_libs"] = tier_libs
+    return payload
+
+
+def rebind_checkpoint_tier_library(
+    envelope: dict, tier: int, lib: StdCellLibrary
+) -> dict:
+    """Copy of a checkpoint envelope with one tier's library spec
+    replaced and the payload checksum recomputed.
+
+    The design-space explorer's prefix store shares synthesis and
+    pseudo-place checkpoints across configs that differ only in the
+    *slow*-tier library: those stages never consume it, but the
+    envelope embeds its spec (and the checksum covers the spec), so a
+    borrowing config must re-slot its own library before resuming
+    (:func:`load_checkpoint` with ``rebind_tier`` does this on load).
+
+    Only the envelope -> payload -> ``tier_libs`` path is copied; the
+    input envelope is left unmodified.
+
+    Raises :class:`CheckpointError` when any netlist instance actually
+    references the library being swapped out -- the guard that keeps
+    "this stage does not consume tier N's library" honest: if it ever
+    stops being true, reuse fails loudly instead of resuming a design
+    bound to the wrong cells.
+    """
+    if not isinstance(envelope, dict) or "design" not in envelope:
+        raise CheckpointError("envelope has no design payload")
+    payload = _rebind_payload(envelope["design"], tier, lib)
+    return {**envelope, "design": payload, "checksum": _checksum(payload)}
 
 
 def checkpoint_path(directory: str | Path, index: int, stage: str) -> Path:
@@ -358,20 +372,30 @@ def write_checkpoint(
         "design": payload,
     }
     path = checkpoint_path(directory, index, stage)
-    tmp = path.with_suffix(".tmp")
+    # Per-process temp name: concurrent writers of one shared directory
+    # (the explorer's prefix store) never clobber each other's partial
+    # file, and the rename makes last-wins safe.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(json.dumps(envelope))
     os.replace(tmp, path)
     return path
 
 
 def load_checkpoint(
-    path: str | Path, tier_libs: dict[int, StdCellLibrary] | None = None
+    path: str | Path,
+    tier_libs: dict[int, StdCellLibrary] | None = None,
+    *,
+    rebind_tier: int | None = None,
 ) -> tuple[str, Design]:
     """Load and verify one checkpoint; returns ``(stage, design)``.
 
+    With ``rebind_tier`` the stored spec of that tier is replaced by
+    ``tier_libs[rebind_tier]`` *after* the stored checksum verified
+    (see :func:`rebind_checkpoint_tier_library` for when that is sound).
+
     Raises :class:`CheckpointError` on a missing file, unparseable JSON,
-    unknown format, checksum mismatch, or a payload that fails netlist
-    validation.
+    unknown format, checksum mismatch, an unshareable rebind, or a
+    payload that fails netlist validation.
     """
     path = Path(path)
     try:
@@ -394,6 +418,12 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint {path} failed its checksum (corrupt or tampered)"
         )
+    if rebind_tier is not None:
+        if tier_libs is None or rebind_tier not in tier_libs:
+            raise CheckpointError(
+                f"rebinding tier {rebind_tier} needs its library in tier_libs"
+            )
+        payload = _rebind_payload(payload, rebind_tier, tier_libs[rebind_tier])
     return str(envelope.get("stage", "")), design_from_dict(payload, tier_libs)
 
 

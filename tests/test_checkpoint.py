@@ -107,6 +107,31 @@ class TestEnvelope:
     def test_fallback_none_when_all_bad(self, tmp_path):
         assert latest_valid_checkpoint(tmp_path, ["a", "b"], 2, None) is None
 
+    def test_concurrent_writers_of_one_file(self, finished, tmp_path):
+        """Processes publishing the same checkpoint at once (explorer
+        workers sharing the prefix store) never clobber each other's
+        temp file: every write succeeds and the result verifies."""
+        import multiprocessing
+
+        design, _ = finished
+        payload = design_to_dict(design)
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(4) as pool:
+            written = pool.starmap_async(
+                _write_repeatedly, [(str(tmp_path), payload)] * 4
+            ).get(timeout=120)
+        assert written == [20] * 4
+        assert [p.name for p in tmp_path.iterdir()] == ["00_synthesis.json"]
+        stage, _loaded = load_checkpoint(tmp_path / "00_synthesis.json")
+        assert stage == "synthesis"
+
+
+def _write_repeatedly(directory: str, payload: dict) -> int:
+    design = design_from_dict(payload)
+    for _ in range(20):
+        write_checkpoint(directory, 0, "synthesis", design)
+    return 20
+
 
 class TestResume:
     def test_resume_is_byte_identical(self, tmp_path):
@@ -139,6 +164,77 @@ class TestResume:
         with pytest.raises(FlowError, match="unknown stage"):
             run_flow_2d("aes", lib, period_ns=1.0, scale=SCALE, seed=4,
                         checkpoint_dir=str(tmp_path), from_stage="routing")
+
+
+class TestInMemoryResume:
+    """``execute_flow(design=..., from_stage=...)`` continues a live
+    design exactly as a loaded checkpoint does."""
+
+    KW = dict(period_ns=1.2, scale=0.08, opt_iterations=2)
+
+    @pytest.fixture(scope="class")
+    def hetero(self, tmp_path_factory):
+        from repro.experiments.dse.space import build_library
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        libs = (build_library(12, None), build_library(8, 0.70))
+        ckpt = tmp_path_factory.mktemp("hetero_ckpt")
+        _, full = run_flow_hetero_3d(
+            "aes", *libs, checkpoint_dir=str(ckpt), **self.KW
+        )
+        names = [p.stem.split("_", 1)[1] for p in sorted(ckpt.glob("*.json"))]
+        return libs, ckpt, names, full
+
+    def test_each_boundary_matches_checkpoint_resume(self, hetero):
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        libs, ckpt, names, full = hetero
+        expected = json.dumps(full.to_dict(), sort_keys=True)
+        for stop, resume in zip(names, names[1:]):
+            design, partial = run_flow_hetero_3d(
+                "aes", *libs, until_stage=stop, **self.KW
+            )
+            assert partial is None
+            _, in_memory = run_flow_hetero_3d(
+                "aes", *libs, design=design, from_stage=resume, **self.KW
+            )
+            _, loaded = run_flow_hetero_3d(
+                "aes", *libs, checkpoint_dir=str(ckpt), from_stage=resume,
+                checkpoint_stages=(), **self.KW
+            )
+            assert json.dumps(in_memory.to_dict(), sort_keys=True) == expected, (
+                f"in-memory resume at {resume!r} diverged"
+            )
+            assert json.dumps(loaded.to_dict(), sort_keys=True) == expected
+
+    def test_checkpoint_stages_limits_writes(self, hetero, tmp_path):
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        libs, _, names, _ = hetero
+        run_flow_hetero_3d(
+            "aes", *libs, checkpoint_dir=str(tmp_path),
+            checkpoint_stages=("synthesis", "pseudo_place"),
+            until_stage="partitioning", **self.KW
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "00_synthesis.json", "01_pseudo_place.json",
+        ]
+
+    def test_resumed_design_must_carry_flow_libraries(self, hetero):
+        from repro.experiments.dse.space import build_library
+        from repro.flow.hetero import run_flow_hetero_3d
+
+        libs, _, _, _ = hetero
+        design, _ = run_flow_hetero_3d(
+            "aes", *libs, until_stage="synthesis", **self.KW
+        )
+        with pytest.raises(FlowError, match="library mismatch"):
+            run_flow_hetero_3d(
+                "aes", libs[0], build_library(8, 0.90), design=design,
+                from_stage="pseudo_place", **self.KW
+            )
+        with pytest.raises(FlowError, match="from_stage"):
+            run_flow_hetero_3d("aes", *libs, design=design, **self.KW)
 
 
 class TestDriver:

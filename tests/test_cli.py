@@ -157,6 +157,21 @@ class TestCommands:
         assert main(["trace", str(path), "--validate"]) == 1
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,content", [
+        (["profile"], None), (["trace"], None), (["trace", "--validate"], None),
+        (["profile"], "{bad"), (["trace"], "{bad"),
+    ])
+    def test_unreadable_trace_is_one_line_error(
+        self, argv, content, tmp_path, capsys
+    ):
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_matrix_stats(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         rc = main([

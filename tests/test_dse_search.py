@@ -174,6 +174,7 @@ def test_prefix_checkpoint_rebinds_only_when_safe(fresh_cache, tmp_path):
         spec_entry = rebound["design"]["tier_libs"]["1"]
         assert spec_entry["name"] == slow_b.name
         assert rebound["checksum"] != envelopes[name]["checksum"]
+        assert envelopes[name]["design"]["tier_libs"]["1"]["name"] == slow_a.name
 
     late = [n for n in sorted(envelopes) if n not in prefix_names]
     assert late, "flow produced no post-prefix checkpoints"
@@ -214,37 +215,44 @@ def test_suffix_reuse_serves_cached_flow_tail(fresh_cache, monkeypatch):
     assert again.to_dict() == cold.to_dict()
 
 
-def test_partition_fingerprint_masks_parameter_echoes(tmp_path):
-    """Two partition checkpoints differing only in the cap/fm parameter
-    echoes fingerprint identically; any real state difference -- or a
-    missing checkpoint -- does not."""
-    from repro.experiments.dse.search import (
-        _PARTITION_INDEX,
-        _PARTITION_STAGE,
-        _partition_fingerprint,
+def test_partition_fingerprint_masks_parameter_echoes():
+    """Two partitioned designs differing only in the cap/fm parameter
+    echoes fingerprint identically; any real state difference does not."""
+    from repro.experiments.dse.search import _partition_fingerprint
+    from repro.flow.hetero import run_flow_hetero_3d
+    from repro.integrity.checkpoint import design_from_dict, design_to_dict
+
+    libs = {0: build_library(12, None), 1: build_library(8, 0.70)}
+    design, _ = run_flow_hetero_3d(
+        "aes", libs[0], libs[1], period_ns=1.2, scale=0.08,
+        opt_iterations=2, until_stage="partitioning",
     )
-    from repro.integrity.checkpoint import checkpoint_path
 
-    def fingerprint(name: str, notes: dict, tiers: list) -> str | None:
-        d = tmp_path / name
-        d.mkdir()
-        payload = {"design": {"tiers": tiers, "notes": notes}}
-        checkpoint_path(d, _PARTITION_INDEX, _PARTITION_STAGE).write_text(
-            json.dumps(payload)
-        )
-        return _partition_fingerprint(str(d))
+    def variant(edit) -> str:
+        copy = design_from_dict(design_to_dict(design), libs)
+        edit(copy)
+        return _partition_fingerprint(copy)
 
-    base = {"pinned_area_cap": 0.25, "fm_balance_tolerance": 0.10,
-            "utilization_used": 0.82}
-    a = fingerprint("a", base, [0, 1])
-    b = fingerprint("b", {**base, "pinned_area_cap": 0.30,
-                          "pinned_cells": 5.0}, [0, 1])
-    c = fingerprint("c", base, [1, 0])
-    d = fingerprint("d", {**base, "utilization_used": 0.70}, [0, 1])
-    assert a is not None
-    assert a == b, "parameter echoes leaked into the fingerprint"
-    assert a != c and a != d
-    assert _partition_fingerprint(str(tmp_path / "missing")) is None
+    def echoes(d):
+        d.notes["pinned_area_cap"] = 0.30
+        d.notes["pinned_cells"] = 5.0
+        d.notes["fm_balance_tolerance"] = 0.2
+
+    def move_cell(d):
+        inst = next(i for i in d.netlist.instances.values()
+                    if not i.cell.is_macro)
+        inst.x_um += 3.0
+
+    def other_note(d):
+        d.notes["utilization_used"] = 0.70
+
+    base = _partition_fingerprint(design)
+    assert variant(lambda d: None) == base
+    assert variant(echoes) == base, "parameter echoes leaked into the fingerprint"
+    assert variant(move_cell) != base
+    assert variant(other_note) != base
+    # Masking works on a copy: the live design keeps its notes.
+    assert "pinned_area_cap" in design.notes
 
 
 def test_pruning_skips_are_certified_and_counted(fresh_cache):
@@ -320,3 +328,142 @@ def test_spec_env_resolution(monkeypatch):
     off = resolve_spec(ExploreSpec(design="aes", prune=False,
                                    warm_periods=False, reuse_prefix=False))
     assert on.key_fields() == off.key_fields()
+
+
+def _prefix_seed_then(cfg, spec, period):
+    """Publish the prefix at ``period`` with another slow library, then
+    evaluate ``cfg`` (which seeds from it); returns its result dict."""
+    from repro.experiments.dse.search import _flow_at_period
+
+    _flow_at_period(DseConfig(8, 0.90, 0.25, 0.10), spec, period)
+    reset_telemetry()
+    return _flow_at_period(cfg, spec, period).to_dict()
+
+
+def test_in_memory_handoff_matches_its_oracles(tmp_path, monkeypatch):
+    """The same (config, period) result three ways: prefix-seeded with a
+    suffix-cache miss, under ``REPRO_CHECK=strict`` (suffix reuse off),
+    and a plain uninterrupted flow that writes no checkpoints."""
+    from repro.flow.hetero import run_flow_hetero_3d
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    spec = resolve_spec(tiny_spec())
+    cfg = DseConfig(8, 0.70, 0.25, 0.10)
+    period = period_grid(spec.design, spec.period_steps)[-1]
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "seeded"))
+    seeded = _prefix_seed_then(cfg, spec, period)
+    tel = get_telemetry()
+    assert tel.prefix_stages_reused == len(PREFIX_STAGES)
+    assert tel.suffix_flows_reused == 0
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "strict"))
+    monkeypatch.setenv("REPRO_CHECK", "strict")
+    strict = _prefix_seed_then(cfg, spec, period)
+    assert get_telemetry().prefix_stages_reused == len(PREFIX_STAGES)
+    monkeypatch.delenv("REPRO_CHECK")
+
+    _design, plain = run_flow_hetero_3d(
+        spec.design, spec.lattice.fast_library(),
+        build_library(cfg.slow_tracks, cfg.slow_vdd),
+        period_ns=period, scale=spec.scale, seed=spec.seed,
+        utilization=spec.utilization, opt_iterations=spec.opt_iterations,
+        pinning_area_cap=cfg.tier_cap, fm_tolerance=cfg.fm_tolerance,
+    )
+    assert seeded == strict == plain.to_dict()
+
+
+@pytest.mark.parametrize("tampered", [("01_pseudo_place.json",),
+                                      ("00_synthesis.json",
+                                       "01_pseudo_place.json")])
+def test_tampered_prefix_entry_falls_back(tmp_path, monkeypatch, caplog,
+                                          tampered):
+    """A prefix-store entry whose payload no longer matches its stored
+    checksum is refused with a warning; the evaluation falls back to
+    the earlier stage (or a cold start) and its result equals a run
+    without prefix reuse."""
+    import logging
+
+    from repro.experiments import cache
+    from repro.experiments.dse.search import (
+        _flow_at_period,
+        _prefix_cache_key,
+    )
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = resolve_spec(tiny_spec())
+    cfg = DseConfig(8, 0.70, 0.25, 0.10)
+    period = period_grid(spec.design, spec.period_steps)[-1]
+    _flow_at_period(DseConfig(8, 0.90, 0.25, 0.10), spec, period)
+
+    store = cache.cache_dir() / "dse_prefix" / _prefix_cache_key(spec, period)
+    for name in tampered:
+        path = store / name
+        env = json.loads(path.read_text())
+        inst = next(d for d in env["design"]["netlist"]["instances"]
+                    if not d["fixed"])
+        inst["x_um"] = (inst["x_um"] or 0.0) + 3.0
+        path.write_text(json.dumps(env))
+
+    reset_telemetry()
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        result = _flow_at_period(cfg, spec, period)
+    refused = [r for r in caplog.records
+               if "unusable" in r.message and "checksum" in r.message]
+    assert len(refused) == len(tampered)
+    assert (get_telemetry().prefix_stages_reused
+            == len(PREFIX_STAGES) - len(tampered))
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "noprefix"))
+    monkeypatch.setenv("REPRO_DSE_PREFIX", "0")
+    baseline = _flow_at_period(cfg, resolve_spec(tiny_spec()), period)
+    assert result.to_dict() == baseline.to_dict()
+
+
+def test_explore_persists_only_the_prefix_store(fresh_cache, monkeypatch):
+    """Work counts of a small exploration: no checkpoint is written for
+    a stage after the prefix, at most one per prefix stage and key is
+    written, and every checkpoint read comes from the prefix store."""
+    from pathlib import Path
+
+    import repro.experiments.dse.search as search
+    import repro.flow.pipeline as pipeline
+    import repro.integrity.checkpoint as checkpoint
+    from repro.experiments import cache
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    writes: list[tuple[Path, str]] = []
+    loads: list[Path] = []
+    real_write = checkpoint.write_checkpoint
+    real_load = checkpoint.load_checkpoint
+
+    def write(directory, index, stage, design):
+        writes.append((Path(directory), stage))
+        return real_write(directory, index, stage, design)
+
+    def load(path, *args, **kwargs):
+        loads.append(Path(path))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "write_checkpoint", write)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", load)
+    monkeypatch.setattr(search, "load_checkpoint", load)
+
+    report = explore(tiny_spec(lattice=LatticeSpec(
+        slow_tracks=(8,), slow_vdd=(0.70, 0.90),
+        tier_caps=(0.25, 0.30), fm_tolerances=(0.10,),
+    ), prune=False))
+    tel = get_telemetry()
+    assert report.ok and tel.prefix_stages_reused > 0
+    assert tel.suffix_flows_reused > 0
+
+    store = cache.cache_dir() / "dse_prefix"
+    assert writes and loads
+    assert {stage for _, stage in writes} <= set(PREFIX_STAGES)
+    per_key: dict[Path, int] = {}
+    for directory, _ in writes:
+        assert directory.parent == store
+        per_key[directory] = per_key.get(directory, 0) + 1
+    assert max(per_key.values()) <= len(PREFIX_STAGES)
+    assert all(path.parent.parent == store for path in loads)
